@@ -72,17 +72,19 @@ bench-gate:
 chaos:
 	$(GO) test -race -run '^TestChaos' ./internal/core/ ./internal/data/ ./internal/serve/ ./internal/wal/ -v
 
-# Brief fuzzing passes over the wire-format parsers.
+# Brief fuzzing passes over the wire-format parsers and the frame decoder.
 fuzz:
 	$(GO) test ./internal/dataset/ -fuzz FuzzURLParser -fuzztime 15s
 	$(GO) test ./internal/dataset/ -fuzz FuzzTaxiParser -fuzztime 15s
 	$(GO) test ./internal/dataset/ -fuzz FuzzRatingsParser -fuzztime 15s
+	$(GO) test ./internal/snapstream/ -fuzz FuzzNextFrame -fuzztime 15s
 
 # 10-second CI smoke of the same fuzz targets.
 fuzz-smoke:
 	$(GO) test ./internal/dataset/ -fuzz FuzzURLParser -fuzztime 10s
 	$(GO) test ./internal/dataset/ -fuzz FuzzTaxiParser -fuzztime 10s
 	$(GO) test ./internal/dataset/ -fuzz FuzzRatingsParser -fuzztime 10s
+	$(GO) test ./internal/snapstream/ -fuzz FuzzNextFrame -fuzztime 10s
 
 # Regenerate every table and figure of the paper at the default size.
 experiments:

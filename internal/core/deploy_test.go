@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
+	"time"
 
 	"cdml/internal/data"
 	"cdml/internal/eval"
@@ -247,26 +249,35 @@ func TestDynamicMaterializationAccounting(t *testing.T) {
 	}
 }
 
+// costTrials is how often a wall-clock cost comparison repeats each run.
+// A run takes tens of milliseconds, so one scheduler stall can invert a
+// single comparison. Interference only ever adds time, so the minimum over
+// the trials is each configuration's least-disturbed cost.
+const costTrials = 3
+
 func TestWarmStartRetainsQualityAdvantage(t *testing.T) {
 	big := driftStream{chunks: 80, rows: 40, drift: 1.5, seed: 17}
-	warm := baseConfig(ModePeriodical)
-	warm.RetrainEvery = 15
-	wres := run(t, warm, big)
+	warmPre, coldPre := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for trial := 0; trial < costTrials; trial++ {
+		warm := baseConfig(ModePeriodical)
+		warm.RetrainEvery = 15
+		wres := run(t, warm, big)
 
-	cold := baseConfig(ModePeriodical)
-	cold.Store = data.NewStore(data.NewMemoryBackend())
-	cold.RetrainEvery = 15
-	cold.WarmStart = false
-	cres := run(t, cold, big)
+		cold := baseConfig(ModePeriodical)
+		cold.RetrainEvery = 15
+		cold.WarmStart = false
+		cres := run(t, cold, big)
 
-	// Cold start recomputes statistics → strictly more preprocessing.
-	if cres.Cost.Get(eval.CatPreprocess) <= wres.Cost.Get(eval.CatPreprocess) {
-		t.Fatalf("cold-start preprocess %v should exceed warm-start %v",
-			cres.Cost.Get(eval.CatPreprocess), wres.Cost.Get(eval.CatPreprocess))
+		warmPre = min(warmPre, wres.Cost.Get(eval.CatPreprocess))
+		coldPre = min(coldPre, cres.Cost.Get(eval.CatPreprocess))
+		// Both should still learn.
+		if wres.FinalError >= 0.5 || cres.FinalError >= 0.5 {
+			t.Fatalf("errors too high: warm %v cold %v", wres.FinalError, cres.FinalError)
+		}
 	}
-	// Both should still learn.
-	if wres.FinalError >= 0.5 || cres.FinalError >= 0.5 {
-		t.Fatalf("errors too high: warm %v cold %v", wres.FinalError, cres.FinalError)
+	// Cold start recomputes statistics → strictly more preprocessing.
+	if coldPre <= warmPre {
+		t.Fatalf("cold-start preprocess %v should exceed warm-start %v", coldPre, warmPre)
 	}
 }
 

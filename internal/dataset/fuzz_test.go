@@ -2,6 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
 	"testing"
 
 	"cdml/internal/data"
@@ -48,12 +52,95 @@ func FuzzURLParser(f *testing.F) {
 	f.Add([]byte("+1\t?,?,?,?\t"))
 	f.Add([]byte("-1\t1e308,2,3,4\tt0"))
 	f.Fuzz(func(t *testing.T, rec []byte) {
-		frame, err := URLParser{}.Parse([][]byte{rec, []byte("+1\t1,2,3,4\tt1")})
+		records := [][]byte{rec, []byte("+1\t1,2,3,4\tt1")}
+		frame, err := URLParser{}.Parse(records)
 		if err != nil {
 			t.Fatalf("parser returned error on arbitrary input: %v", err)
 		}
 		checkParsedFrame(t, frame, func(y float64) bool { return y == 1 || y == -1 })
+		sameFrame(t, frame, referenceURLParse(records))
 	})
+}
+
+// referenceURLParse is URLParser.Parse as first written (two bytes.Split
+// calls, a per-row numeric slice and a string per row), kept as the
+// reference the allocation-constant parser must agree with.
+func referenceURLParse(records [][]byte) *data.Frame {
+	labels := make([]float64, 0, len(records))
+	nums := make([][]float64, numURLFeatures)
+	for k := range nums {
+		nums[k] = make([]float64, 0, len(records))
+	}
+	tokens := make([]string, 0, len(records))
+	for _, rec := range records {
+		parts := bytes.Split(rec, []byte("\t"))
+		if len(parts) != 3 {
+			continue
+		}
+		y, err := strconv.ParseFloat(string(parts[0]), 64)
+		if err != nil || (y != 1 && y != -1) {
+			continue
+		}
+		numParts := bytes.Split(parts[1], []byte(","))
+		if len(numParts) != numURLFeatures {
+			continue
+		}
+		rowNums := make([]float64, numURLFeatures)
+		ok := true
+		for k, np := range numParts {
+			if string(np) == "?" {
+				rowNums[k] = data.Missing
+				continue
+			}
+			v, err := strconv.ParseFloat(string(np), 64)
+			if err != nil {
+				ok = false
+				break
+			}
+			rowNums[k] = v
+		}
+		if !ok {
+			continue
+		}
+		labels = append(labels, y)
+		for k := range nums {
+			nums[k] = append(nums[k], rowNums[k])
+		}
+		tokens = append(tokens, string(parts[2]))
+	}
+	f := data.NewFrame(len(labels))
+	f.SetFloat("label", labels)
+	for k := range nums {
+		f.SetFloat(fmt.Sprintf("num%d", k), nums[k])
+	}
+	f.SetString("tokens", tokens)
+	return f
+}
+
+// sameFrame fails unless got and want have the same columns in the same
+// order and the same cells, floats compared bit for bit.
+func sameFrame(t *testing.T, got, want *data.Frame) {
+	t.Helper()
+	if !slices.Equal(got.Columns(), want.Columns()) || got.Rows() != want.Rows() {
+		t.Fatalf("frame shape: columns %v rows %d, want %v rows %d", got.Columns(), got.Rows(), want.Columns(), want.Rows())
+	}
+	for _, col := range want.Columns() {
+		switch want.KindOf(col) {
+		case data.KindFloat:
+			g, w := got.Float(col), want.Float(col)
+			for i := range w {
+				if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+					t.Fatalf("%s[%d] = %v, want %v", col, i, g[i], w[i])
+				}
+			}
+		case data.KindString:
+			if g, w := got.String(col), want.String(col); !slices.Equal(g, w) {
+				t.Fatalf("%s = %q, want %q", col, g, w)
+			}
+		default:
+			t.Fatalf("unexpected column kind %v", want.KindOf(col))
+		}
+	}
 }
 
 func FuzzTaxiParser(f *testing.F) {

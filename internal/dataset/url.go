@@ -21,7 +21,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 
 	"cdml/internal/data"
 	"cdml/internal/model"
@@ -222,70 +224,106 @@ func (u *URL) Chunk(i int) [][]byte {
 // column "label" (+1/−1).
 type URLParser struct{}
 
+// urlNumCols names the numeric columns.
+var urlNumCols = [numURLFeatures]string{"num0", "num1", "num2", "num3"}
+
 // Name implements pipeline.Parser.
 func (URLParser) Name() string { return "url-parser" }
 
-// Parse implements pipeline.Parser; malformed records are dropped.
+// Parse implements pipeline.Parser; malformed records are dropped. Its
+// allocation count does not depend on the number of records: the columns
+// are sized once, and the kept rows' token fields are copied into one
+// string that each row's token cell is a substring of.
 func (URLParser) Parse(records [][]byte) (*data.Frame, error) {
 	labels := make([]float64, 0, len(records))
-	nums := make([][]float64, numURLFeatures)
+	var nums [numURLFeatures][]float64
 	for k := range nums {
 		nums[k] = make([]float64, 0, len(records))
 	}
-	tokens := make([]string, 0, len(records))
+	toks := make([][]byte, 0, len(records)) // kept rows' token fields, aliasing records
+	tokBytes := 0
 	for _, rec := range records {
-		parts := bytes.Split(rec, []byte("\t"))
-		if len(parts) != 3 {
+		label, rest, ok := cutByte(rec, '\t')
+		if !ok {
 			continue
 		}
-		y, err := strconv.ParseFloat(string(parts[0]), 64)
+		numField, tokField, ok := cutByte(rest, '\t')
+		if !ok || bytes.IndexByte(tokField, '\t') >= 0 {
+			continue
+		}
+		y, err := strconv.ParseFloat(string(label), 64)
 		//lint:allow floateq: class labels are exactly ±1 on the wire
 		if err != nil || (y != 1 && y != -1) {
 			continue
 		}
-		numParts := bytes.Split(parts[1], []byte(","))
-		if len(numParts) != numURLFeatures {
-			continue
-		}
-		rowNums := make([]float64, numURLFeatures)
-		ok := true
-		for k, np := range numParts {
-			if string(np) == "?" {
-				rowNums[k] = data.Missing
-				continue
+		if !appendURLNums(&nums, numField) {
+			for k := range nums {
+				nums[k] = nums[k][:len(labels)]
 			}
-			v, err := strconv.ParseFloat(string(np), 64)
-			if err != nil {
-				ok = false
-				break
-			}
-			rowNums[k] = v
-		}
-		if !ok {
 			continue
 		}
 		labels = append(labels, y)
-		for k := range nums {
-			nums[k] = append(nums[k], rowNums[k])
-		}
-		tokens = append(tokens, string(parts[2]))
+		toks = append(toks, tokField)
+		tokBytes += len(tokField)
+	}
+	var all strings.Builder
+	all.Grow(tokBytes)
+	for _, t := range toks {
+		all.Write(t)
+	}
+	text := all.String()
+	tokens := make([]string, len(toks))
+	off := 0
+	for i, t := range toks {
+		tokens[i] = text[off : off+len(t)]
+		off += len(t)
 	}
 	f := data.NewFrame(len(labels))
 	f.SetFloat("label", labels)
 	for k := range nums {
-		f.SetFloat(fmt.Sprintf("num%d", k), nums[k])
+		f.SetFloat(urlNumCols[k], nums[k])
 	}
 	f.SetString("tokens", tokens)
 	return f, nil
 }
 
+// appendURLNums parses the comma-separated numeric field of one record onto
+// the numeric columns. It reports false when the field is malformed; the
+// columns may then hold a partial row the caller must cut off.
+func appendURLNums(nums *[numURLFeatures][]float64, field []byte) bool {
+	for k := range nums {
+		var np []byte
+		if k < numURLFeatures-1 {
+			var ok bool
+			if np, field, ok = cutByte(field, ','); !ok {
+				return false
+			}
+		} else if np = field; bytes.IndexByte(np, ',') >= 0 {
+			return false
+		}
+		v := data.Missing
+		if string(np) != "?" {
+			var err error
+			if v, err = strconv.ParseFloat(string(np), 64); err != nil {
+				return false
+			}
+		}
+		nums[k] = append(nums[k], v)
+	}
+	return true
+}
+
+// cutByte slices b around the first instance of c.
+func cutByte(b []byte, c byte) (before, after []byte, found bool) {
+	if i := bytes.IndexByte(b, c); i >= 0 {
+		return b[:i], b[i+1:], true
+	}
+	return b, nil, false
+}
+
 // URLNumCols returns the numeric column names the URL pipeline scales.
 func URLNumCols() []string {
-	cols := make([]string, numURLFeatures)
-	for k := range cols {
-		cols[k] = fmt.Sprintf("num%d", k)
-	}
-	return cols
+	return slices.Clone(urlNumCols[:])
 }
 
 // NewURLPipeline constructs the paper's URL pipeline: input parser →

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseScale(t *testing.T) {
@@ -55,6 +56,13 @@ func TestWorkloadBadFactoryPanics(t *testing.T) {
 	w.NewOptimizer("bogus", 0.1)
 }
 
+// costTrials is how often a cost-shape test repeats its sweep. A small
+// deployment run takes tens of milliseconds of wall clock, so one scheduler
+// stall can invert a single comparison. Interference only ever adds time,
+// so the minimum over the trials is each configuration's least-disturbed
+// cost.
+const costTrials = 3
+
 func TestFig4URLShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deployment run")
@@ -65,20 +73,32 @@ func TestFig4URLShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	on := r.Results["online"]
-	per := r.Results["periodical"]
 	cont := r.Results["continuous"]
+	cost := map[string]time.Duration{}
+	for mode, res := range r.Results {
+		cost[mode] = res.Cost.Total()
+	}
+	for trial := 1; trial < costTrials; trial++ {
+		again, err := Fig4(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mode, res := range again.Results {
+			cost[mode] = min(cost[mode], res.Cost.Total())
+		}
+	}
 	// Shape 1: periodical is the most expensive approach. (The paper's
 	// 15× gap needs the full 12,000-chunk stream; at small scale the
 	// prequential serving cost, equal across approaches, dilutes the
 	// ratio, so only the ordering is asserted here. EXPERIMENTS.md records
 	// the medium-scale ratios.)
-	if float64(per.Cost.Total()) < 1.3*float64(cont.Cost.Total()) {
-		t.Errorf("periodical cost %v not ≫ continuous %v", per.Cost.Total(), cont.Cost.Total())
+	if float64(cost["periodical"]) < 1.3*float64(cost["continuous"]) {
+		t.Errorf("periodical cost %v not ≫ continuous %v", cost["periodical"], cost["continuous"])
 	}
 	// Shape 2: online is the cheapest (allow wall-clock jitter at this
 	// tiny scale — the runs only take a fraction of a second).
-	if float64(on.Cost.Total()) > 1.25*float64(cont.Cost.Total()) {
-		t.Errorf("online cost %v should be ≤ continuous %v", on.Cost.Total(), cont.Cost.Total())
+	if float64(cost["online"]) > 1.25*float64(cost["continuous"]) {
+		t.Errorf("online cost %v should be ≤ continuous %v", cost["online"], cost["continuous"])
 	}
 	// Shape 3: continuous quality not worse than online (drifting stream).
 	if cont.AvgError > on.AvgError*1.1 {
@@ -279,6 +299,17 @@ func TestFig7Shape(t *testing.T) {
 	}
 	if len(r.Points) != len(SamplingStrategies)*len(Fig7Rates) {
 		t.Fatalf("points = %d", len(r.Points))
+	}
+	// Keep each configuration's least-disturbed cost over the trials.
+	for trial := 1; trial < costTrials; trial++ {
+		again, err := Fig7(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range again.Points {
+			r.Points[i].Cost = min(r.Points[i].Cost, p.Cost)
+		}
+		r.NoOptCost = min(r.NoOptCost, again.NoOptCost)
 	}
 	// Shape: for each strategy, cost at full materialization ≤ cost at none.
 	for _, strat := range SamplingStrategies {

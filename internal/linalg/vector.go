@@ -13,6 +13,7 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -133,33 +134,32 @@ type Sparse struct {
 
 // NewSparse builds a sparse vector of dimension dim from parallel index and
 // value slices. The input is copied, sorted by index, and duplicate indices
-// are summed. Entries with value 0 are kept (callers may rely on explicit
-// zeros for presence semantics); use Compact to drop them.
+// are summed in input order. Entries with value 0 are kept (callers may rely
+// on explicit zeros for presence semantics); use Compact to drop them.
 //cdml:deterministic
 func NewSparse(dim int, idx []int32, val []float64) *Sparse {
 	if len(idx) != len(val) {
 		panic(fmt.Sprintf("linalg: NewSparse: len(idx)=%d != len(val)=%d", len(idx), len(val)))
 	}
-	type pair struct {
-		i int32
-		v float64
-	}
-	pairs := make([]pair, len(idx))
-	for k := range idx {
-		if idx[k] < 0 || int(idx[k]) >= dim {
-			panic(fmt.Sprintf("linalg: NewSparse: index %d out of range [0,%d)", idx[k], dim))
+	// index<<32 | input position: a total order, so duplicates sum in input
+	// order whatever the sort algorithm.
+	keys := make([]uint64, len(idx))
+	for k, i := range idx {
+		if i < 0 || int(i) >= dim {
+			panic(fmt.Sprintf("linalg: NewSparse: index %d out of range [0,%d)", i, dim))
 		}
-		pairs[k] = pair{idx[k], val[k]}
+		keys[k] = uint64(i)<<32 | uint64(k)
 	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].i < pairs[b].i })
-	s := &Sparse{N: dim, Idx: make([]int32, 0, len(pairs)), Val: make([]float64, 0, len(pairs))}
-	for _, p := range pairs {
-		if n := len(s.Idx); n > 0 && s.Idx[n-1] == p.i {
-			s.Val[n-1] += p.v
+	slices.Sort(keys)
+	s := &Sparse{N: dim, Idx: make([]int32, 0, len(keys)), Val: make([]float64, 0, len(keys))}
+	for _, key := range keys {
+		i, v := int32(key>>32), val[uint32(key)]
+		if n := len(s.Idx); n > 0 && s.Idx[n-1] == i {
+			s.Val[n-1] += v
 			continue
 		}
-		s.Idx = append(s.Idx, p.i)
-		s.Val = append(s.Val, p.v)
+		s.Idx = append(s.Idx, i)
+		s.Val = append(s.Val, v)
 	}
 	return s
 }

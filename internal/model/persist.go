@@ -46,38 +46,59 @@ func Save(w io.Writer, m Model) error {
 	return nil
 }
 
-// Load deserializes a model written by Save.
+// Load deserializes a model written by Save. The snapshot's shape is
+// checked against its weight count before any model is allocated, so a
+// corrupt or hostile snapshot returns an error instead of panicking or
+// driving an oversized allocation.
 func Load(r io.Reader) (Model, error) {
 	var s snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("model: decoding: %w", err)
 	}
+	if s.Reg < 0 {
+		return nil, fmt.Errorf("model: corrupt %s snapshot (negative regularization %v)", s.Kind, s.Reg)
+	}
+	// w is the weight count without the bias, the product the shape must
+	// reproduce.
+	w := len(s.Weights) - 1
 	var m Model
 	switch s.Kind {
-	case "svm":
-		m = NewSVM(s.Dim, s.Reg)
-	case "linreg":
-		m = NewLinearRegression(s.Dim, s.Reg)
-	case "logreg":
-		m = NewLogisticRegression(s.Dim, s.Reg)
+	case "svm", "linreg", "logreg":
+		if s.Dim < 1 || s.Dim != w {
+			return nil, fmt.Errorf("model: corrupt %s snapshot (dim=%d weights=%d)", s.Kind, s.Dim, len(s.Weights))
+		}
+		switch s.Kind {
+		case "svm":
+			m = NewSVM(s.Dim, s.Reg)
+		case "linreg":
+			m = NewLinearRegression(s.Dim, s.Reg)
+		default:
+			m = NewLogisticRegression(s.Dim, s.Reg)
+		}
 	case "kmeans":
-		if s.Dim <= 0 || len(s.Weights) != s.K*s.Dim+1 {
+		if !productIs(s.K, s.Dim, w) {
 			return nil, fmt.Errorf("model: corrupt k-means snapshot (k=%d dim=%d weights=%d)", s.K, s.Dim, len(s.Weights))
 		}
 		m = NewKMeans(s.K, s.Dim)
 	case "mf":
-		if s.Users <= 0 || s.Items <= 0 || s.Factors <= 0 {
-			return nil, fmt.Errorf("model: corrupt MF snapshot (%d users, %d items, %d factors)", s.Users, s.Items, s.Factors)
+		// dim = users + items + (users+items)*factors. Bounding each term
+		// by w first keeps the sum and factors+1 from overflowing.
+		if s.Users < 1 || s.Items < 1 || s.Factors < 1 || s.Users > w || s.Items > w || s.Factors > w ||
+			!productIs(s.Users+s.Items, s.Factors+1, w) {
+			return nil, fmt.Errorf("model: corrupt MF snapshot (%d users, %d items, %d factors, %d weights)", s.Users, s.Items, s.Factors, len(s.Weights))
 		}
 		m = NewMF(s.Users, s.Items, s.Factors, s.Reg, 0)
 	default:
 		return nil, fmt.Errorf("model: unknown model kind %q", s.Kind)
 	}
-	if len(s.Weights) != len(m.Weights()) {
-		return nil, fmt.Errorf("model: snapshot weight length %d, want %d", len(s.Weights), len(m.Weights()))
-	}
 	m.SetWeights(s.Weights)
 	return m, nil
+}
+
+// productIs reports whether a*b == p for positive a and b, without
+// computing a product that could overflow.
+func productIs(a, b, p int) bool {
+	return a >= 1 && b >= 1 && p%a == 0 && p/a == b
 }
 
 // SaveFile writes a model to path atomically.

@@ -2,8 +2,8 @@ package pipeline
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
+	"slices"
 
 	"cdml/internal/data"
 	"cdml/internal/linalg"
@@ -336,9 +336,13 @@ func (o *OneHotEncoder) Cardinality() int { return o.domain.Cardinality() }
 // function needs no statistics, which is why the paper's URL pipeline can
 // apply it to an unbounded, growing token vocabulary. Token occurrences
 // accumulate counts; numeric columns contribute their value at the hash of
-// the column name.
+// the column name. The bucket of a string is its FNV-1a 32 hash modulo
+// Size; entries that share a bucket are summed in order of first
+// appearance (numeric columns first, then tokens as they occur). Build it
+// with NewFeatureHasher and leave its fields unchanged afterwards: the
+// numeric columns' buckets are hashed there.
 type FeatureHasher struct {
-	// TokenCols are string columns of whitespace-separated tokens.
+	// TokenCols are string columns of space-separated tokens.
 	TokenCols []string
 	// NumCols are numeric columns folded in by column-name hash.
 	NumCols []string
@@ -346,6 +350,9 @@ type FeatureHasher struct {
 	Out string
 	// Size is the number of hash buckets (the feature dimensionality).
 	Size int
+
+	// numBuckets[k] is the bucket of "num:"+NumCols[k].
+	numBuckets []int32
 }
 
 // NewFeatureHasher returns a hasher into size buckets.
@@ -353,7 +360,12 @@ func NewFeatureHasher(tokenCols, numCols []string, out string, size int) *Featur
 	if size <= 0 {
 		panic(fmt.Sprintf("pipeline: hasher size must be positive, got %d", size))
 	}
-	return &FeatureHasher{TokenCols: tokenCols, NumCols: numCols, Out: out, Size: size}
+	h := &FeatureHasher{TokenCols: tokenCols, NumCols: numCols, Out: out, Size: size}
+	h.numBuckets = make([]int32, len(numCols))
+	for k, c := range numCols {
+		h.numBuckets[k] = h.bucket(fnv1a(fnv1a(fnvOffset32, "num:"), c))
+	}
+	return h
 }
 
 // Name implements Component.
@@ -368,70 +380,140 @@ func (h *FeatureHasher) Update(f *data.Frame) error { return nil }
 // Snapshot implements Component: stateless, shares itself.
 func (h *FeatureHasher) Snapshot() Component { return h }
 
-func (h *FeatureHasher) bucket(s string) int32 {
-	hh := fnv.New32a()
-	hh.Write([]byte(s))
-	return int32(hh.Sum32() % uint32(h.Size))
+// FNV-1a 32 parameters; fnv1a(fnvOffset32, s) equals hash/fnv's New32a
+// sum over the bytes of s.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+// fnv1a extends the FNV-1a 32 hash state h over the bytes of s.
+func fnv1a(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= fnvPrime32
+	}
+	return h
 }
 
-// Transform implements Component.
+func (h *FeatureHasher) bucket(sum uint32) int32 {
+	return int32(sum % uint32(h.Size))
+}
+
+// nextToken returns the bounds of the first space-separated token of s at
+// or after byte j; lo == hi when none is left.
+func nextToken(s string, j int) (lo, hi int) {
+	for j < len(s) && s[j] == ' ' {
+		j++
+	}
+	lo = j
+	for j < len(s) && s[j] != ' ' {
+		j++
+	}
+	return lo, j
+}
+
+// hashedNum reports whether a numeric cell contributes an entry.
+func hashedNum(v float64) bool {
+	//lint:allow floateq: sparse encoding stores only exactly-non-zero entries
+	return v != 0 && !data.IsMissingFloat(v)
+}
+
+// Transform implements Component. Its allocation count does not depend on
+// the number of rows: a counting pass sizes one scratch of sort keys, and
+// the batch's vectors share one exactly sized Idx and Val backing, each
+// vector capped at its own length so an append to one cannot reach the
+// next. The vectors are read-only.
 func (h *FeatureHasher) Transform(f *data.Frame) (*data.Frame, error) {
 	n := f.Rows()
-	out := make([]linalg.Vector, n)
-	numSrcs := make([][]float64, len(h.NumCols))
-	numBuckets := make([]int32, len(h.NumCols))
+	nums := make([][]float64, len(h.NumCols))
 	for k, c := range h.NumCols {
-		numSrcs[k] = f.Float(c)
-		numBuckets[k] = h.bucket("num:" + c)
+		nums[k] = f.Float(c)
 	}
-	tokSrcs := make([][]string, len(h.TokenCols))
+	toks := make([][]string, len(h.TokenCols))
 	for k, c := range h.TokenCols {
-		tokSrcs[k] = f.String(c)
+		toks[k] = f.String(c)
 	}
-	for i := 0; i < n; i++ {
-		var idx []int32
-		var val []float64
-		for k := range h.NumCols {
-			v := numSrcs[k][i]
-			//lint:allow floateq: sparse encoding stores only exactly-non-zero entries
-			if !data.IsMissingFloat(v) && v != 0 {
-				idx = append(idx, numBuckets[k])
-				val = append(val, v)
+
+	// Counting pass: row i's entries are keys[ends[i-1]:ends[i]].
+	ends := make([]int, n)
+	total := 0
+	for i := range ends {
+		for k := range nums {
+			if hashedNum(nums[k][i]) {
+				total++
 			}
 		}
-		for k := range h.TokenCols {
-			for _, tok := range fields(tokSrcs[k][i]) {
-				idx = append(idx, h.bucket(tok))
-				val = append(val, 1)
+		for k := range toks {
+			s := toks[k][i]
+			for lo, hi := nextToken(s, 0); lo < hi; lo, hi = nextToken(s, hi) {
+				total++
 			}
 		}
-		out[i] = linalg.NewSparse(h.Size, idx, val)
+		ends[i] = total
+	}
+
+	// Key pass: entry p of a row (numeric column k at p = k, then tokens
+	// from p = len(NumCols) on) becomes bucket<<32 | p. Sorting a row's keys
+	// orders its entries by bucket and, within a bucket, by first
+	// appearance, so duplicates sum in the same order under any sort.
+	keys := make([]uint64, total)
+	nnz, start := 0, 0
+	for i, end := range ends {
+		row := keys[start:end]
+		w := 0
+		for k := range nums {
+			if hashedNum(nums[k][i]) {
+				row[w] = uint64(h.numBuckets[k])<<32 | uint64(k)
+				w++
+			}
+		}
+		p := len(nums)
+		for k := range toks {
+			s := toks[k][i]
+			for lo, hi := nextToken(s, 0); lo < hi; lo, hi = nextToken(s, hi) {
+				row[w] = uint64(h.bucket(fnv1a(fnvOffset32, s[lo:hi])))<<32 | uint64(p)
+				w++
+				p++
+			}
+		}
+		slices.Sort(row)
+		for j := range row {
+			if j == 0 || row[j]>>32 != row[j-1]>>32 {
+				nnz++
+			}
+		}
+		start = end
+	}
+
+	// Fill pass: sum each row's runs of equal buckets into the shared
+	// backing.
+	idx := make([]int32, nnz)
+	val := make([]float64, nnz)
+	vecs := make([]linalg.Sparse, n)
+	out := make([]linalg.Vector, n)
+	o := 0
+	start = 0
+	for i, end := range ends {
+		lo := o
+		for _, key := range keys[start:end] {
+			b, p := int32(key>>32), int(uint32(key))
+			v := 1.0
+			if p < len(nums) {
+				v = nums[p][i]
+			}
+			if o > lo && idx[o-1] == b {
+				val[o-1] += v
+				continue
+			}
+			idx[o], val[o] = b, v
+			o++
+		}
+		vecs[i] = linalg.Sparse{N: h.Size, Idx: idx[lo:o:o], Val: val[lo:o:o]}
+		out[i] = &vecs[i]
+		start = end
 	}
 	return f.ShallowCopy().SetVec(h.Out, out), nil
-}
-
-// fields splits on single spaces without allocating a strings.Fields pass
-// for the common empty case.
-func fields(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	start := -1
-	for i := 0; i < len(s); i++ {
-		if s[i] == ' ' {
-			if start >= 0 {
-				out = append(out, s[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
-		}
-	}
-	if start >= 0 {
-		out = append(out, s[start:])
-	}
-	return out
 }
 
 // Filter drops rows failing a predicate. It is the anomaly-detector shape of

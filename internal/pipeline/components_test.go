@@ -246,27 +246,6 @@ func TestFeatureHasherStatelessUpdateNoop(t *testing.T) {
 	}
 }
 
-func TestFieldsHelper(t *testing.T) {
-	cases := map[string][]string{
-		"":            nil,
-		"a":           {"a"},
-		"a b":         {"a", "b"},
-		"  a   b  ":   {"a", "b"},
-		"one two one": {"one", "two", "one"},
-	}
-	for in, want := range cases {
-		got := fields(in)
-		if len(got) != len(want) {
-			t.Fatalf("fields(%q) = %v, want %v", in, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("fields(%q) = %v, want %v", in, got, want)
-			}
-		}
-	}
-}
-
 func TestFilterDropsRows(t *testing.T) {
 	fl := NewFilter("anomaly", func(f *data.Frame, i int) bool {
 		return f.Float("x")[i] >= 0

@@ -114,16 +114,18 @@ func NextFrame(magic, name string, b []byte) (Frame, []byte, error) {
 	}
 	version := binary.BigEndian.Uint64(b[8:16])
 	n := binary.BigEndian.Uint64(b[16:24])
-	total := uint64(headerLen) + n + 4
-	if uint64(len(b)) < total {
+	// Compare n against the bytes left before adding to it: a length word
+	// near 2^64 would wrap headerLen+n+4 around to a small total.
+	if avail := len(b) - headerLen - 4; avail < 0 || n > uint64(avail) {
 		return Frame{}, nil, fmt.Errorf("snapstream: %s: %w (have %d payload bytes, header says %d)",
 			name, ErrTornFrame, len(b)-headerLen, n)
 	}
-	payload := b[headerLen : headerLen+n]
-	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(b[headerLen+n:]); got != want {
+	end := headerLen + int(n)
+	payload := b[headerLen:end]
+	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(b[end:]); got != want {
 		return Frame{}, nil, fmt.Errorf("snapstream: %s: frame CRC mismatch (corrupted payload)", name)
 	}
-	return Frame{Version: version, Payload: payload}, b[total:], nil
+	return Frame{Version: version, Payload: payload}, b[end+4:], nil
 }
 
 // EncodeFrame returns the full wire encoding of f.

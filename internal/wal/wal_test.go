@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -448,4 +449,50 @@ func appendPartialRecord(t *testing.T, path string) int {
 		t.Fatal(err)
 	}
 	return len(half)
+}
+
+// A flipped length word in a sealed segment is corruption: Open reports it
+// instead of panicking on a length that wraps the frame end around, and a
+// Replay reading the same bytes under an open Log reports it too.
+func TestCorruptLengthWordIsAnError(t *testing.T) {
+	for _, n := range []uint64{1<<64 - 1, 1<<64 - 10} {
+		dir := t.TempDir()
+		l, err := Open(Options{Dir: dir, SegmentBytes: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 6; i++ {
+			if _, err := l.Append(chunk(fmt.Sprintf("c%d", i), 2), uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var sealed string
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), segSuffix) {
+				sealed = filepath.Join(dir, e.Name())
+				break
+			}
+		}
+		if sealed == "" {
+			t.Fatal("no sealed segment produced")
+		}
+		b, err := os.ReadFile(sealed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint64(b[16:24], n) // the first frame's length word
+		if err := os.WriteFile(sealed, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Replay(0, func(uint64, [][]byte) error { return nil }); err == nil {
+			t.Errorf("length %#x: Replay over a corrupt length word returned no error", n)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(Options{Dir: dir, SegmentBytes: 128}); err == nil {
+			t.Errorf("length %#x: Open over a corrupt length word returned no error", n)
+		}
+	}
 }
